@@ -1,7 +1,7 @@
 """A6 -- ablation: access locality beyond the unit-cost I/O model.
 
 The paper's model charges every block transfer one unit; real devices
-reward sequential runs.  Using the trace recorder, this ablation replays
+reward sequential runs.  Using an access-trace observer, this ablation replays
 the same query batch on the optimal structures and the scan-style
 baselines and reports, alongside the I/O count, the *sequential
 fraction* of reads and mean run length -- quantifying what the unit-cost
@@ -12,7 +12,7 @@ PST's descents are scattered).
 from repro.baselines import BTreeXFilter, RTree
 from repro.core.external_pst import ExternalPrioritySearchTree
 from repro.io import BlockStore
-from repro.io.trace import TraceRecorder
+from repro.io.trace import AccessTrace
 from repro.workloads import three_sided_queries, uniform_points
 
 from conftest import record_result
@@ -38,8 +38,10 @@ def _run():
     answers = None
     gate = {}
     for name, build, ask in builders:
-        rec = TraceRecorder(BlockStore(B))
-        idx = build(rec)
+        store = BlockStore(B)
+        rec = AccessTrace()
+        store.add_observer(rec)
+        idx = build(store)
         rec.clear()
         got_all = []
         for q in qs:

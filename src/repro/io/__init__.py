@@ -12,6 +12,9 @@ accounting exactly, so this package provides:
   :mod:`repro.io.policies`), optional CONT-chain readahead and write
   coalescing, and a pin API modelling the paper's "O(1) catalog blocks
   held in main memory".
+- :class:`StoreLayer` -- the base every storage wrapper subclasses: it
+  forwards the protocol to the inner store, so a wrapper overrides only
+  the operations it changes.
 - :class:`IOStats` -- exact counters, subtractable for scoped measurement.
 
 All data structures in :mod:`repro` access their data exclusively through
@@ -20,7 +23,13 @@ space, I/Os per operation) are measured, not estimated.
 """
 
 from repro.io.stats import IOStats
-from repro.io.blockstore import Block, BlockStore, StorageError, BlockCapacityError
+from repro.io.blockstore import (
+    Block,
+    BlockCapacityError,
+    BlockStore,
+    StorageError,
+    StoreLayer,
+)
 from repro.io.bufferpool import BufferPool, CowRecords
 from repro.io.checksum import ChecksummedStore, CorruptBlockError
 from repro.io.hooks import crash_point, prefetch_hint
@@ -32,7 +41,7 @@ from repro.io.policies import (
     TwoQPolicy,
     make_policy,
 )
-from repro.io.trace import TraceRecorder, TraceSummary
+from repro.io.trace import AccessTrace, TraceSummary
 
 __all__ = [
     "IOStats",
@@ -40,9 +49,10 @@ __all__ = [
     "BlockStore",
     "BufferPool",
     "CowRecords",
-    "TraceRecorder",
+    "AccessTrace",
     "TraceSummary",
     "StorageError",
+    "StoreLayer",
     "BlockCapacityError",
     "ChecksummedStore",
     "CorruptBlockError",

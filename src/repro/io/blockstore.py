@@ -4,7 +4,9 @@ A block holds at most ``block_size`` records.  A record is any Python
 object; the structures in this repository store tuples (points, catalog
 entries, child pointers).  Every :meth:`BlockStore.read` and
 :meth:`BlockStore.write` increments exact counters, which is how all
-experiments measure I/O cost.
+experiments measure I/O cost.  :class:`StoreLayer` is the base of every
+wrapper that stacks on a store (checksums, snapshots, faults, retries,
+journaling, caching).
 """
 
 from __future__ import annotations
@@ -302,6 +304,85 @@ class BlockStore:
             f"BlockStore(B={self._block_size}, blocks={self.blocks_in_use}, "
             f"{self.stats})"
         )
+
+
+class StoreLayer:
+    """Base of every storage wrapper: forwards the protocol to ``_store``.
+
+    A layer (checksums, snapshots, fault injection, retries, journaling,
+    caching) sits on an inner store and changes a few operations; every
+    member it does not override reaches the inner store unchanged.  The
+    inner calls are late-bound (``self._store.read(...)``), so
+    instance-level wrappers installed on any layer see every call.
+
+    ``prefetch_hint`` is deliberately absent: only the top-of-chain
+    :class:`~repro.io.BufferPool` answers it, and forwarding it would
+    start readahead in a pool buried under other layers.
+    """
+
+    def __init__(self, store):
+        self._store = store
+
+    @property
+    def block_size(self) -> int:
+        """Records per block (the inner store's ``B``)."""
+        return self._store.block_size
+
+    @property
+    def stats(self) -> IOStats:
+        """Physical I/O counters of the inner store."""
+        return self._store.stats
+
+    @property
+    def physical_store(self) -> "BlockStore":
+        """The store whose counters are the physical truth."""
+        return getattr(self._store, "physical_store", self._store)
+
+    @property
+    def crash_hook(self):
+        """The inner chain's crash hook (see :func:`repro.io.hooks.crash_point`)."""
+        return getattr(self._store, "crash_hook", None)
+
+    def add_observer(self, callback: StoreObserver) -> None:
+        """Subscribe ``callback(op, bid)`` on the inner store."""
+        self._store.add_observer(callback)
+
+    def remove_observer(self, callback: StoreObserver) -> None:
+        """Unsubscribe an observer from the inner store."""
+        self._store.remove_observer(callback)
+
+    def alloc(self) -> int:
+        """Allocate on the inner store."""
+        return self._store.alloc()
+
+    def read(self, bid: int) -> Block:
+        """Read from the inner store."""
+        return self._store.read(bid)
+
+    def write(self, bid: int, records: Iterable[Any]) -> None:
+        """Write to the inner store."""
+        self._store.write(bid, records)
+
+    def free(self, bid: int) -> None:
+        """Free on the inner store."""
+        self._store.free(bid)
+
+    def flush(self) -> None:
+        """Flush the inner store."""
+        self._store.flush()
+
+    def peek(self, bid: int) -> List[Any]:
+        """Inspect a block of the inner store (no I/O charged)."""
+        return self._store.peek(bid)
+
+    @property
+    def blocks_in_use(self) -> int:
+        """Blocks allocated on the inner store."""
+        return self._store.blocks_in_use
+
+    def block_ids(self) -> List[int]:
+        """Ids of the inner store's allocated blocks (no I/O charged)."""
+        return self._store.block_ids()
 
 
 def blocks_needed(n_records: int, block_size: int) -> int:

@@ -59,10 +59,10 @@ from repro.io.blockstore import (
     BlockCapacityError,
     BlockStore,
     StorageError,
+    StoreLayer,
     StoreObserver,
 )
 from repro.io.policies import ReplacementPolicy, make_policy
-from repro.io.stats import IOStats
 
 
 class CowRecords:
@@ -166,7 +166,7 @@ class CowRecords:
         return f"CowRecords({tag}, n={len(self._data)})"
 
 
-class BufferPool:
+class BufferPool(StoreLayer):
     """Write-back cache over a block store with pluggable replacement.
 
     Parameters
@@ -208,7 +208,7 @@ class BufferPool:
             raise ValueError("capacity must be non-negative")
         if readahead_window < 0:
             raise ValueError("readahead_window must be non-negative")
-        self._store = store
+        super().__init__(store)
         self._capacity = capacity
         self._policy = make_policy(policy, capacity)
         self._window = int(readahead_window)
@@ -259,29 +259,9 @@ class BufferPool:
     # Storage protocol
     # ------------------------------------------------------------------
     @property
-    def block_size(self) -> int:
-        """Records per block (the underlying store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self) -> IOStats:
-        """Physical I/O counters of the underlying disk."""
-        return self._store.stats
-
-    @property
-    def physical_store(self) -> BlockStore:
-        """The underlying store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
     def policy(self) -> ReplacementPolicy:
         """The replacement policy instance ordering the frames."""
         return self._policy
-
-    @property
-    def crash_hook(self):
-        """Forward the inner chain's crash hook (fault injection)."""
-        return getattr(self._store, "crash_hook", None)
 
     def add_observer(self, callback: StoreObserver) -> None:
         """Subscribe ``callback(op, bid)`` to *pool-level* events.
@@ -303,10 +283,6 @@ class BufferPool:
     def _emit(self, op: str, bid: int) -> None:
         for cb in self._observers:
             cb(op, bid)
-
-    def alloc(self) -> int:
-        """Allocate a block on the underlying store (no I/O)."""
-        return self._store.alloc()
 
     def read(self, bid: int) -> Block:
         """Read through the cache; hits cost no physical I/O."""

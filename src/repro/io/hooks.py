@@ -1,21 +1,24 @@
-"""Protocol-level hook points shared by stores and store wrappers.
+"""Protocol-level hook points shared by stores and store layers.
 
 The storage protocol (see :class:`~repro.io.BlockStore`) is duck-typed:
-structures run over the raw store, a :class:`~repro.io.BufferPool`, a
-:class:`~repro.io.TraceRecorder` or the fault-injection wrappers in
-:mod:`repro.resilience` without knowing which.  This module holds the
-hooks that must stay cheap on the plain store:
+structures run over the raw store, a :class:`~repro.io.BufferPool` or
+any other :class:`~repro.io.StoreLayer` (checksums, snapshots, the
+fault-injection and journaling layers in :mod:`repro.resilience`)
+without knowing which.  This module holds the hooks that must stay
+cheap on the plain store:
 
 - :func:`crash_point` -- a named marker inside a multi-block update
   path.  A store that exposes a ``crash_hook(tag)`` callable (only
-  :class:`~repro.resilience.FaultyStore` does) gets to raise a
-  :class:`~repro.resilience.SimulatedCrash` there; every other store
-  pays a single ``getattr`` returning ``None``, the same price as an
-  unattached :func:`repro.obs.spans.span`.
+  :class:`~repro.resilience.FaultyStore` defines one; every
+  :class:`~repro.io.StoreLayer` forwards its inner store's) gets to
+  raise a :class:`~repro.resilience.SimulatedCrash` there; the plain
+  store pays a single ``getattr`` returning ``None``, the same price
+  as an unattached :func:`repro.obs.spans.span`.
 - :func:`prefetch_hint` -- a sequential-run announcement.  A store
   that exposes a ``prefetch_hint(bids)`` callable (only
-  :class:`~repro.io.BufferPool` does) learns the run for readahead;
-  every other store pays the same single ``getattr``.
+  :class:`~repro.io.BufferPool` does, and no layer forwards it) learns
+  the run for readahead; every other store pays the same single
+  ``getattr``.
 
 Structures annotate the points between which their on-disk state is
 transiently inconsistent (mid-split, mid-placement, mid-promotion), so

@@ -2,16 +2,16 @@
 
 The paper's model charges every transfer equally, but practitioners also
 care about *locality*: sequential block runs are far cheaper on spinning
-disks and still matter for SSD prefetching.  :class:`TraceRecorder`
-wraps any storage object, records the exact access sequence, and
-summarizes it (sequential fraction, distinct blocks, re-reads), enabling
+disks and still matter for SSD prefetching.  :class:`AccessTrace`
+observes any store, records the exact access sequence, and summarizes
+it (sequential fraction, distinct blocks, re-reads), enabling
 the locality ablation A6 without touching any structure code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -35,75 +35,27 @@ class TraceSummary:
         return self.repeat_reads / self.reads if self.reads else 0.0
 
 
-class TraceRecorder:
-    """Storage wrapper that logs every (op, block id) pair.
+class AccessTrace:
+    """Store observer that logs every physical (op, block id) pair.
 
-    Presents the same protocol as :class:`~repro.io.BlockStore`, so any
-    structure runs over it unchanged.  The trace lists tuples
-    ``("r"|"w"|"a"|"f", bid)`` in order.
+    Subscribe it to a :class:`~repro.io.BlockStore` (or to any layer
+    that forwards observers down to one; a :class:`~repro.io.BufferPool`
+    does not, it reports cache events instead)::
+
+        trace = AccessTrace()
+        store.add_observer(trace)
+
+    :attr:`trace` lists ``(op, bid)`` tuples in order, with ``op`` one
+    of ``"read" | "write" | "alloc" | "free"`` (the store observer
+    events, see :data:`repro.io.blockstore.StoreObserver`).  Only
+    operations that reached the store are logged.
     """
 
-    def __init__(self, store):
-        self._store = store
+    def __init__(self):
         self.trace: List[Tuple[str, int]] = []
 
-    # -- protocol ---------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
-
-    def alloc(self) -> int:
-        """Allocate on the wrapped store, logging the event."""
-        bid = self._store.alloc()
-        self.trace.append(("a", bid))
-        return bid
-
-    def read(self, bid: int):
-        """Read through, logging the access."""
-        self.trace.append(("r", bid))
-        return self._store.read(bid)
-
-    def write(self, bid: int, records: Iterable[Any]) -> None:
-        """Write through, logging the access."""
-        self.trace.append(("w", bid))
-        self._store.write(bid, records)
-
-    def free(self, bid: int) -> None:
-        """Free on the wrapped store, logging the event."""
-        self.trace.append(("f", bid))
-        self._store.free(bid)
-
-    def peek(self, bid: int):
-        """Pass-through inspection (not logged; costs no I/O)."""
-        return self._store.peek(bid)
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
+    def __call__(self, op: str, bid: int) -> None:
+        self.trace.append((op, bid))
 
     # -- analysis ----------------------------------------------------------
     def clear(self) -> None:
@@ -116,7 +68,7 @@ class TraceRecorder:
         seen: set = set()
         prev_read: Optional[int] = None
         for op, bid in self.trace:
-            if op == "r":
+            if op == "read":
                 reads += 1
                 if prev_read is not None and bid == prev_read + 1:
                     seq += 1
@@ -124,7 +76,7 @@ class TraceRecorder:
                     repeats += 1
                 seen.add(bid)
                 prev_read = bid
-            elif op == "w":
+            elif op == "write":
                 writes += 1
         return TraceSummary(
             reads=reads,
@@ -140,7 +92,7 @@ class TraceRecorder:
         prev: Optional[int] = None
         cur = 0
         for op, bid in self.trace:
-            if op != "r":
+            if op != "read":
                 continue
             if prev is not None and bid == prev + 1:
                 cur += 1

@@ -50,16 +50,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.io.blockstore import Block, BlockCapacityError, StorageError
+from repro.io.blockstore import Block, BlockCapacityError, StorageError, StoreLayer
 from repro.obs.metrics import counter
 from repro.resilience.errors import RecoveryError, SimulatedCrash
 
 
-class JournaledStore:
-    """Transactional storage wrapper with write-ahead-journal recovery."""
+class JournaledStore(StoreLayer):
+    """Transactional storage layer with write-ahead-journal recovery."""
 
     def __init__(self, store, *, log_allocs: bool = False):
-        self._store = store
+        super().__init__(store)
         self._log_allocs = log_allocs
         a0, a1 = store.alloc(), store.alloc()
         self._anchor_bids: Tuple[int, int] = (a0, a1)
@@ -247,34 +247,6 @@ class JournaledStore:
     # ------------------------------------------------------------------
     # storage protocol (buffered under a transaction)
     # ------------------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
-    def crash_hook(self):
-        """Forward named crash points to the wrapped store (or None)."""
-        return getattr(self._store, "crash_hook", None)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
-
     def alloc(self) -> int:
         """Allocate a real block (journaled when ``log_allocs``)."""
         bid = self._store.alloc()
@@ -337,15 +309,6 @@ class JournaledStore:
             if buffered is not None:
                 return list(buffered)
         return self._store.peek(bid)
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
 
     def _require_allocated(self, bid: int, txn) -> None:
         if bid in txn["writes"] or bid in txn["allocs"]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.geometry import INF, NEG_INF
-from repro.io.blockstore import BlockStore
+from repro.io.blockstore import BlockStore, StoreLayer
 from repro.resilience.errors import RecoveryError, SimulatedCrash
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.faulty_store import FaultyStore
@@ -44,21 +44,13 @@ from repro.resilience.journal import JournaledStore
 Point = Tuple[float, float]
 
 
-class _SiteCounter:
-    """Minimal profiling wrapper: counts operations and crash points."""
+class _SiteCounter(StoreLayer):
+    """Minimal profiling layer: counts operations and crash points."""
 
     def __init__(self, store):
-        self._store = store
+        super().__init__(store)
         self.ops = 0
         self.points = 0
-
-    @property
-    def block_size(self):
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        return self._store.stats
 
     def alloc(self):
         self.ops += 1
@@ -75,12 +67,6 @@ class _SiteCounter:
     def free(self, bid):
         self.ops += 1
         self._store.free(bid)
-
-    def peek(self, bid):
-        return self._store.peek(bid)
-
-    def flush(self):
-        self._store.flush()
 
     def crash_hook(self, tag):
         self.points += 1

@@ -40,6 +40,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.serve.admission import AdmissionController, EngineOverloaded
 from repro.serve.deadline import Deadline
 from repro.serve.executor import BatchExecutor, BatchResult, Op, PartialResult
+from repro.serve.replication import ReplicaSpec
 from repro.serve.scrub import Scrubber
 from repro.serve.shards import Shard, SlabRouter
 from repro.serve.snapshots import ShardSnapshot
@@ -146,6 +147,17 @@ class ServingEngine:
             # injected faults without a retry layer would surface every
             # transient as a caller-visible error; pair them by default
             retry_policy = RetryPolicy(max_attempts=4)
+        spec = ReplicaSpec(
+            block_size=block_size,
+            pool_capacity=pool_capacity,
+            pool_policy=pool_policy,
+            readahead_window=readahead_window,
+            coalesce_writes=coalesce_writes,
+            retry_policy=retry_policy,
+            io_latency=io_latency,
+            breaker_threshold=breaker_threshold,
+            breaker_probe_after=breaker_probe_after,
+        )
         shards: List[Shard] = []
         for i in range(n_shards):
             lo, hi = edges[i], edges[i + 1]
@@ -166,20 +178,12 @@ class ServingEngine:
                     i,
                     lo,
                     hi,
-                    block_size=block_size,
+                    spec=spec,
                     backend=backend,
                     points=mine,
-                    pool_capacity=pool_capacity,
-                    pool_policy=pool_policy,
-                    readahead_window=readahead_window,
-                    coalesce_writes=coalesce_writes,
                     fault_schedules=schedules,
-                    retry_policy=retry_policy,
-                    io_latency=io_latency,
                     backend_kwargs=backend_kwargs,
                     replication_factor=replication_factor,
-                    breaker_threshold=breaker_threshold,
-                    breaker_probe_after=breaker_probe_after,
                 )
             )
         self.router = SlabRouter(shards, boundaries)
@@ -337,7 +341,7 @@ class ServingEngine:
         out: List[Point] = []
         for sh in self.router.shards:
             with sh.lock.read_locked():
-                out.extend(sh.structure.all_points())
+                out.extend(sh.primary.structure.all_points())
         return sorted(out)
 
     def stats(self) -> Dict[str, object]:
@@ -383,10 +387,10 @@ class ServingEngine:
             "replication": replication,
             "scrub": self.scrubber.summary(),
             "total_reads": sum(
-                sh.base_store.stats.reads for sh in shards
+                sh.primary.base_store.stats.reads for sh in shards
             ),
             "total_writes": sum(
-                sh.base_store.stats.writes for sh in shards
+                sh.primary.base_store.stats.writes for sh in shards
             ),
             "total_replica_reads": sum(
                 r.base_store.stats.reads

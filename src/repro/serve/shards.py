@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.external_pst import ExternalPrioritySearchTree
 from repro.core.log_method import LogMethodThreeSidedIndex
 from repro.obs.metrics import counter
-from repro.resilience.retry import RetryPolicy
 from repro.serve.deadline import Deadline
 from repro.serve.locks import ReadWriteLock
 from repro.serve.replication import Replica, ReplicaSet, ReplicaSpec
@@ -66,13 +65,11 @@ class Shard:
     ``x_hi`` bound the owned slab as ``[x_lo, x_hi)``; the router makes
     the outermost shards open-ended.
 
+    ``spec`` is the store-chain recipe every replica is built from;
     ``fault_schedules`` (one per replica, ``None`` entries allowed)
-    gives every copy its own deterministic fault stream; the legacy
-    ``fault_schedule`` shorthand applies one schedule to replica 0
-    only.  ``base_store`` / ``snapstore`` / ``store`` / ``structure``
-    delegate to the current *primary* replica, so the whole
-    pre-replication API (snapshots, stats, recovery adapters) keeps
-    working unchanged.
+    gives every copy its own deterministic fault stream.  Per-replica
+    state (stores, pool, structure) lives on :attr:`primary` and the
+    other :attr:`replica_set` members.
     """
 
     def __init__(
@@ -81,21 +78,12 @@ class Shard:
         x_lo: float,
         x_hi: float,
         *,
-        block_size: int = 32,
+        spec: ReplicaSpec = ReplicaSpec(),
         backend: str = "pst",
         points: Sequence[Point] = (),
-        pool_capacity: int = 0,
-        pool_policy: str = "lru",
-        readahead_window: int = 0,
-        coalesce_writes: bool = False,
-        fault_schedule=None,
         fault_schedules: Optional[Sequence] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        io_latency: float = 0.0,
         backend_kwargs: Optional[dict] = None,
         replication_factor: int = 1,
-        breaker_threshold: int = 3,
-        breaker_probe_after: int = 8,
         auto_rebuild: bool = True,
     ):
         if backend not in BACKENDS:
@@ -104,36 +92,19 @@ class Shard:
             )
         if replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if fault_schedules is not None:
-            if fault_schedule is not None:
-                raise ValueError(
-                    "pass fault_schedule or fault_schedules, not both"
-                )
-            if len(fault_schedules) != replication_factor:
-                raise ValueError(
-                    "need one fault schedule entry per replica "
-                    f"({len(fault_schedules)} != {replication_factor})"
-                )
-            schedules = list(fault_schedules)
-        else:
-            schedules = [fault_schedule] + [None] * (replication_factor - 1)
+        if fault_schedules is None:
+            fault_schedules = [None] * replication_factor
+        elif len(fault_schedules) != replication_factor:
+            raise ValueError(
+                "need one fault schedule entry per replica "
+                f"({len(fault_schedules)} != {replication_factor})"
+            )
         self.shard_id = shard_id
         self.x_lo = x_lo
         self.x_hi = x_hi
         self.backend = backend
         self.lock = ReadWriteLock()
 
-        spec = ReplicaSpec(
-            block_size,
-            pool_capacity=pool_capacity,
-            pool_policy=pool_policy,
-            readahead_window=readahead_window,
-            coalesce_writes=coalesce_writes,
-            retry_policy=retry_policy,
-            io_latency=io_latency,
-            breaker_threshold=breaker_threshold,
-            breaker_probe_after=breaker_probe_after,
-        )
         mine = sorted(
             (float(p[0]), float(p[1])) for p in points
         )
@@ -143,7 +114,7 @@ class Shard:
             r = Replica(
                 j,
                 spec,
-                fault_schedule=schedules[j],
+                fault_schedule=fault_schedules[j],
                 labels={"shard": str(shard_id), "replica": str(j)},
             )
             # provision below the chaos: the bulk load runs with fault
@@ -166,47 +137,15 @@ class Shard:
             (y, x) for (x, y) in mine
         )
 
-    # ------------------------------------------------------------------
-    # primary-replica delegation (pre-replication API surface)
-    # ------------------------------------------------------------------
     @property
     def primary(self) -> Replica:
         """The replica currently serving as primary."""
         return self.replica_set.primary
 
     @property
-    def base_store(self):
-        """The primary replica's physical :class:`BlockStore`."""
-        return self.primary.base_store
-
-    @property
-    def checksummed(self):
-        """The primary replica's checksum layer."""
-        return self.primary.checksummed
-
-    @property
-    def snapstore(self):
-        """The primary replica's snapshot (COW) layer."""
-        return self.primary.snapstore
-
-    @property
-    def store(self):
-        """Top of the primary replica's store chain."""
-        return self.primary.store
-
-    @property
-    def _pool(self):
-        return self.primary.pool
-
-    @property
-    def structure(self):
-        """The primary replica's 3-sided structure."""
-        return self.primary.structure
-
-    @property
     def count(self) -> int:
         """Live records in this shard."""
-        return self.structure.count
+        return self.primary.structure.count
 
     def owns(self, x: float) -> bool:
         """Whether ``x`` falls in this shard's slab ``[x_lo, x_hi)``."""
@@ -310,37 +249,39 @@ class Shard:
             return self._snapshot_locked()
 
     def _snapshot_locked(self) -> ShardSnapshot:
-        if self._pool is not None:
-            self._pool.flush()
-        meta = self.structure.snapshot_meta()
-        epoch = self.snapstore.open_epoch()
+        primary = self.primary
+        primary.flush()
+        meta = primary.structure.snapshot_meta()
+        epoch = primary.snapstore.open_epoch()
         counter("snapshots_opened", layer="serve").inc()
         return ShardSnapshot(
-            self.snapstore, epoch, meta, self._attach, self.x_lo, self.x_hi
+            primary.snapstore, epoch, meta, self._attach, self.x_lo, self.x_hi
         )
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Shard health: counts, physical I/O, cache and snapshot state."""
+        primary = self.primary
         out = {
             "shard": self.shard_id,
             "backend": self.backend,
             "count": self.count,
             "x_lo": self.x_lo,
             "x_hi": self.x_hi,
-            "reads": self.base_store.stats.reads,
-            "writes": self.base_store.stats.writes,
-            "open_epochs": len(self.snapstore.open_epochs),
+            "reads": primary.base_store.stats.reads,
+            "writes": primary.base_store.stats.writes,
+            "open_epochs": len(primary.snapstore.open_epochs),
             "replication": self.replica_set.stats(),
         }
-        if self._pool is not None:
-            out["pool_hits"] = self._pool.hits
-            out["pool_misses"] = self._pool.misses
-            out["pool_hit_rate"] = self._pool.hit_rate
-            out["pool_policy"] = self._pool.policy.name
-            out["pool_prefetch_hits"] = self._pool.prefetch_hits
-            out["pool_prefetch_waste"] = self._pool.prefetch_waste
-            out["pool_coalesced_writes"] = self._pool.coalesced_writes
+        pool = primary.pool
+        if pool is not None:
+            out["pool_hits"] = pool.hits
+            out["pool_misses"] = pool.misses
+            out["pool_hit_rate"] = pool.hit_rate
+            out["pool_policy"] = pool.policy.name
+            out["pool_prefetch_hits"] = pool.prefetch_hits
+            out["pool_prefetch_waste"] = pool.prefetch_waste
+            out["pool_coalesced_writes"] = pool.coalesced_writes
         return out
 
     def __repr__(self) -> str:

@@ -32,9 +32,10 @@ splits reader traffic by where it was served.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
-from repro.io.blockstore import Block, StorageError
+from repro.io.blockstore import Block, StorageError, StoreLayer
+from repro.io.checksum import CorruptBlockError, record_crc
 from repro.obs.metrics import counter, gauge
 
 
@@ -50,8 +51,8 @@ class _Epoch:
         self.next_bid = next_bid               # allocator watermark at open
 
 
-class SnapshotStore:
-    """Copy-on-write storage wrapper tracking open snapshot epochs.
+class SnapshotStore(StoreLayer):
+    """Copy-on-write storage layer tracking open snapshot epochs.
 
     Standard storage protocol; with no epoch open every operation is a
     straight pass-through adding zero physical I/O.  Thread-safe for
@@ -60,59 +61,23 @@ class SnapshotStore:
     """
 
     def __init__(self, store):
-        self._store = store
+        super().__init__(store)
         self._epochs: Dict[int, _Epoch] = {}
         self._next_epoch = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # protocol delegation
-    # ------------------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
-    def crash_hook(self):
-        """Forward named crash points to the wrapped store (or None)."""
-        return getattr(self._store, "crash_hook", None)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
-
-    def peek(self, bid: int):
-        """Pass-through inspection (no I/O charged)."""
-        return self._store.peek(bid)
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
-
-    # ------------------------------------------------------------------
     # mutations (pre-image capture)
     # ------------------------------------------------------------------
-    def _preserve(self, bid: int) -> None:
+    def _preserve(self, bid: int, payload: Optional[List[Any]] = None) -> None:
+        """Keep ``bid``'s pre-image for every open epoch that lacks one.
+
+        ``payload`` is what the caller is about to write.  A rotten
+        block raises :class:`CorruptBlockError`, so the caller's abort
+        and repair path runs, unless ``payload`` hashes to the block's
+        recorded checksum: then it is a repair restoring the block's
+        verified content, which is also its epoch-time content.
+        """
         with self._lock:
             needy = [
                 ep for ep in self._epochs.values()
@@ -122,6 +87,10 @@ class SnapshotStore:
             return
         try:
             records = self._store.read(bid).records
+        except CorruptBlockError as exc:
+            if payload is None or record_crc(payload) != exc.expected:
+                raise
+            records = payload
         except StorageError:
             return  # unallocated: let the mutation raise its own error
         counter("snapshot_blocks_kept", layer="serve").inc()
@@ -139,14 +108,11 @@ class SnapshotStore:
                     ep.new.add(bid)
         return bid
 
-    def read(self, bid: int) -> Block:
-        """Live read: pass-through."""
-        return self._store.read(bid)
-
     def write(self, bid: int, records: Iterable[Any]) -> None:
         """Write through, preserving the pre-image for open epochs."""
         if self._epochs:
-            self._preserve(bid)
+            records = list(records)
+            self._preserve(bid, records)
         self._store.write(bid, records)
 
     def free(self, bid: int) -> None:
@@ -251,7 +217,7 @@ class SnapshotStore:
         return f"SnapshotStore(epochs={self.open_epochs})"
 
 
-class SnapshotReader:
+class SnapshotReader(StoreLayer):
     """Read-only storage protocol over one frozen epoch.
 
     Preserved blocks come from the undo map (counted as
@@ -259,31 +225,23 @@ class SnapshotReader:
     the snapshot area, not the live disk, so they are kept out of the
     live I/O counters); untouched blocks read through and cost physical
     I/O like any other read.  Mutations raise :class:`StorageError`.
+
+    A writer may preserve a block and then overwrite or free it between
+    the reader's undo-map check and its live read.  Writers store the
+    pre-image before they mutate, so the reader checks the undo map
+    again after the live read (or its failure) and serves the pre-image
+    if one has appeared.
     """
 
     def __init__(self, snapstore: SnapshotStore, epoch_id: int):
-        self._snap = snapstore
+        super().__init__(snapstore)
         self.epoch_id = epoch_id
 
-    @property
-    def block_size(self) -> int:
-        """Records per block (the snapshotted store's ``B``)."""
-        return self._snap.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the live store (shared)."""
-        return self._snap.stats
-
-    @property
-    def physical_store(self):
-        """The live physical store (for observer co-residency)."""
-        return self._snap.physical_store
-
-    def read(self, bid: int) -> Block:
-        """Read the block as it was when the epoch opened."""
-        with self._snap._lock:
-            ep = self._snap._epochs.get(self.epoch_id)
+    def _pre_image(self, bid: int) -> Optional[List[Any]]:
+        """The epoch's preserved copy of ``bid`` (None: the live block
+        still holds the epoch-time content)."""
+        with self._store._lock:
+            ep = self._store._epochs.get(self.epoch_id)
             if ep is None:
                 raise StorageError(f"epoch {self.epoch_id} was closed")
             pre = ep.undo.get(bid)
@@ -291,26 +249,36 @@ class SnapshotReader:
                 raise StorageError(
                     f"block {bid} was born after epoch {self.epoch_id}"
                 )
+            return pre
+
+    def _frozen(self, bid: int, live: Callable[[int], Any]):
+        """``(pre-image, None)`` or ``(None, live(bid))``, race-free."""
+        pre = self._pre_image(bid)
+        if pre is not None:
+            return pre, None
+        try:
+            out = live(bid)
+        except StorageError:
+            pre = self._pre_image(bid)
+            if pre is None:
+                raise
+            return pre, None
+        pre = self._pre_image(bid)
+        return (pre, None) if pre is not None else (None, out)
+
+    def read(self, bid: int) -> Block:
+        """Read the block as it was when the epoch opened."""
+        pre, block = self._frozen(bid, self._store.read)
         if pre is not None:
             counter("snapshot_reads", layer="serve", source="undo").inc()
             return Block(bid, list(pre))
         counter("snapshot_reads", layer="serve", source="live").inc()
-        return self._snap.read(bid)
+        return block
 
     def peek(self, bid: int):
         """Inspect the frozen block without charging I/O."""
-        with self._snap._lock:
-            ep = self._snap._epochs.get(self.epoch_id)
-            if ep is None:
-                raise StorageError(f"epoch {self.epoch_id} was closed")
-            pre = ep.undo.get(bid)
-            if pre is None and bid in ep.new:
-                raise StorageError(
-                    f"block {bid} was born after epoch {self.epoch_id}"
-                )
-        if pre is not None:
-            return list(pre)
-        return self._snap.peek(bid)
+        pre, records = self._frozen(bid, self._store.peek)
+        return list(pre) if pre is not None else records
 
     def write(self, bid: int, records) -> None:
         raise StorageError("snapshot readers are immutable")
@@ -320,9 +288,6 @@ class SnapshotReader:
 
     def free(self, bid: int) -> None:
         raise StorageError("snapshot readers are immutable")
-
-    def flush(self) -> None:
-        """No-op (nothing a reader could have buffered)."""
 
     def __repr__(self) -> str:
         return f"SnapshotReader(epoch={self.epoch_id})"

@@ -1,7 +1,5 @@
 """Tests for the slab-based Arge-Vitter interval tree."""
 
-import random
-
 import pytest
 
 from repro.io import BlockStore

@@ -21,6 +21,7 @@ from repro.serve import (
     AdmissionController,
     EngineOverloaded,
     ReadWriteLock,
+    ReplicaSpec,
     ServingEngine,
     Shard,
     SlabRouter,
@@ -160,7 +161,7 @@ class TestSlabRouter:
 class TestShard:
     def test_spanned_query4_matches_boundary_path(self, rng):
         pts = make_points(rng, 150)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), spec=ReplicaSpec(16),
                    backend="log", points=pts)
         for _ in range(25):
             a, b = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
@@ -173,14 +174,14 @@ class TestShard:
 
     def test_spanned_query4_costs_no_io(self, rng):
         pts = make_points(rng, 200)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), spec=ReplicaSpec(16),
                    backend="log", points=pts)
-        before = sh.base_store.stats.copy()
+        before = sh.primary.base_store.stats.copy()
         sh.query4(0, 1000, 100, 900, spanned=True)
-        assert (sh.base_store.stats - before).ios == 0
+        assert (sh.primary.base_store.stats - before).ios == 0
 
     def test_duplicate_insert_refused(self):
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), spec=ReplicaSpec(16),
                    backend="log", points=[(1.0, 2.0)])
         assert not sh.insert((1.0, 2.0))
         assert sh.count == 1
@@ -295,7 +296,7 @@ class TestSnapshots:
 
     def test_snapshot_readers_are_immutable(self, rng):
         pts = make_points(rng, 60)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), spec=ReplicaSpec(16),
                    backend="log", points=pts)
         snap = sh.snapshot()
         reader = snap._reader
@@ -309,7 +310,7 @@ class TestSnapshots:
 
     def test_closed_epoch_rejects_reads(self, rng):
         pts = make_points(rng, 60)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), spec=ReplicaSpec(16),
                    backend="log", points=pts)
         snap = sh.snapshot()
         snap.close()
@@ -342,6 +343,72 @@ class TestSnapshots:
         with pytest.raises(StorageError):
             store.reader(eid).read(bid)
         store.close_epoch(eid)
+
+    @pytest.mark.parametrize("mutation", ["write", "free"])
+    @pytest.mark.parametrize("probe", ["read", "peek"])
+    def test_reader_races_writer_between_check_and_live_read(self, mutation, probe):
+        """A writer that preserves and then mutates the block after the
+        reader's undo-map check must not leak post-epoch state."""
+        from repro.io import BlockStore
+
+        store = SnapshotStore(BlockStore(4))
+        bid = store.alloc()
+        store.write(bid, [1, 2])
+        eid = store.open_epoch()
+        reader = store.reader(eid)
+        live = getattr(store, probe)
+
+        def racing(b):
+            del vars(store)[probe]  # interleave exactly once
+            if mutation == "write":
+                store.write(b, [3, 4])
+            else:
+                store.free(b)
+            return live(b)
+
+        setattr(store, probe, racing)
+        got = getattr(reader, probe)(bid)
+        assert (got.records if probe == "read" else got) == [1, 2]
+        store.close_epoch(eid)
+
+    def test_write_over_rot_with_open_epoch_raises(self):
+        """Rot under an open epoch is surfaced, not laundered into a
+        pre-image-less write that rollback cannot undo."""
+        from repro.io import BlockStore, ChecksummedStore, CorruptBlockError
+
+        base = BlockStore(4)
+        cs = ChecksummedStore(base)
+        store = SnapshotStore(cs)
+        bid = store.alloc()
+        store.write(bid, [1, 2])
+        base.scribble(bid, ["rot"])
+        eid = store.open_epoch()
+        with pytest.raises(CorruptBlockError):
+            store.write(bid, [3, 4])
+        with pytest.raises(CorruptBlockError):
+            store.free(bid)
+        assert base.peek(bid) == ["rot"]   # nothing applied
+        assert store.rollback_epoch(eid) == 0
+        assert not cs.verify(bid)
+
+    def test_repair_write_over_rot_with_open_epoch(self):
+        """A repair writing the block's verified content keeps that
+        content as the pre-image, so rollback restores it."""
+        from repro.io import BlockStore, ChecksummedStore
+
+        base = BlockStore(4)
+        cs = ChecksummedStore(base)
+        store = SnapshotStore(cs)
+        bid = store.alloc()
+        store.write(bid, [1, 2])
+        base.scribble(bid, ["rot"])
+        eid = store.open_epoch()
+        store.write(bid, [1, 2])           # repair from a verified copy
+        assert cs.verify(bid)
+        store.write(bid, [3, 4])           # an ordinary write afterwards
+        assert store.reader(eid).read(bid).records == [1, 2]
+        assert store.rollback_epoch(eid) == 1
+        assert base.peek(bid) == [1, 2] and cs.verify(bid)
 
     def test_engine_snapshot_consistent_cut(self, rng):
         """Writers racing the snapshot see either all-before or all-after."""
@@ -552,7 +619,7 @@ class TestThreadedStress:
         final = set(pts) | {p for pool in pools for p in pool}
         assert eng.all_points() == sorted(final)
         for sh in eng.router.shards:
-            sh.structure.check_invariants()
+            sh.primary.structure.check_invariants()
         eng.close()
 
 

@@ -23,6 +23,7 @@ from repro.serve import (
     PartialResult,
     ReadWriteLock,
     ReplicaSetExhausted,
+    ReplicaSpec,
     Scrubber,
     ServingEngine,
     Shard,
@@ -44,7 +45,7 @@ def make_shard(pts, factor=2, seed=None, rates=None, **kw):
             for j in range(factor)
         ]
     return Shard(
-        0, float("-inf"), float("inf"), block_size=16, backend="log",
+        0, float("-inf"), float("inf"), spec=ReplicaSpec(16), backend="log",
         points=pts, replication_factor=factor, fault_schedules=schedules,
         **kw,
     )

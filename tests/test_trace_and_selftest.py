@@ -2,43 +2,67 @@
 
 import pytest
 
-from repro.io import BlockStore
-from repro.io.trace import TraceRecorder
+from repro.io import AccessTrace, BlockStore, ChecksummedStore, StorageError
 from repro.core.external_pst import ExternalPrioritySearchTree
 from repro.selftest import run_selftest
 from tests.conftest import make_points
 
 
+def traced_store(block_size=8):
+    store = BlockStore(block_size)
+    rec = AccessTrace()
+    store.add_observer(rec)
+    return store, rec
+
+
 class TestTraceRecorder:
+    """The :class:`AccessTrace` store observer."""
+
     def test_protocol_passthrough(self):
-        store = BlockStore(8)
-        rec = TraceRecorder(store)
-        bid = rec.alloc()
-        rec.write(bid, [1, 2])
-        assert rec.read(bid).records == [1, 2]
-        assert rec.block_size == 8
-        assert rec.blocks_in_use == 1
-        rec.free(bid)
-        assert rec.blocks_in_use == 0
+        store, rec = traced_store()
+        bid = store.alloc()
+        store.write(bid, [1, 2])
+        assert store.read(bid).records == [1, 2]
+        assert store.blocks_in_use == 1
+        store.free(bid)
+        assert store.blocks_in_use == 0
+        assert len(rec.trace) == 4
 
     def test_trace_order(self):
-        store = BlockStore(8)
-        rec = TraceRecorder(store)
-        a = rec.alloc()
-        rec.write(a, [1])
-        rec.read(a)
-        assert rec.trace == [("a", a), ("w", a), ("r", a)]
+        store, rec = traced_store()
+        a = store.alloc()
+        store.write(a, [1])
+        store.read(a)
+        store.free(a)
+        assert rec.trace == [("alloc", a), ("write", a), ("read", a), ("free", a)]
+
+    def test_failed_operations_not_logged(self):
+        store, rec = traced_store()
+        with pytest.raises(StorageError):
+            store.read(7)
+        assert rec.trace == []
+
+    def test_observes_through_layers(self):
+        """Subscribed through a checksum layer, the trace still lands
+        on the physical store and sees the layer's reads."""
+        base = BlockStore(8)
+        cs = ChecksummedStore(base)
+        rec = AccessTrace()
+        cs.add_observer(rec)
+        bid = cs.alloc()
+        cs.write(bid, [1, 2])
+        assert cs.read(bid).records == [1, 2]
+        assert rec.trace == [("alloc", bid), ("write", bid), ("read", bid)]
 
     def test_summary_counts(self):
-        store = BlockStore(8)
-        rec = TraceRecorder(store)
-        bids = [rec.alloc() for _ in range(3)]
+        store, rec = traced_store()
+        bids = [store.alloc() for _ in range(3)]
         for b in bids:
-            rec.write(b, [b])
+            store.write(b, [b])
         rec.clear()
-        rec.read(bids[0])
-        rec.read(bids[1])       # sequential (bid + 1)
-        rec.read(bids[0])       # repeat, non-sequential
+        store.read(bids[0])
+        store.read(bids[1])       # sequential (bid + 1)
+        store.read(bids[0])       # repeat, non-sequential
         s = rec.summary()
         assert s.reads == 3
         assert s.distinct_blocks == 2
@@ -48,29 +72,26 @@ class TestTraceRecorder:
         assert s.reread_fraction == pytest.approx(1 / 3)
 
     def test_run_lengths(self):
-        store = BlockStore(8)
-        rec = TraceRecorder(store)
-        bids = [rec.alloc() for _ in range(6)]
+        store, rec = traced_store()
+        bids = [store.alloc() for _ in range(6)]
         for b in bids:
-            rec.write(b, [b])
+            store.write(b, [b])
         rec.clear()
         for b in bids[:4]:
-            rec.read(b)         # run of 4
-        rec.read(bids[0])       # run of 1
-        rec.read(bids[5])       # run of 1
+            store.read(b)         # run of 4
+        store.read(bids[0])       # run of 1
+        store.read(bids[5])       # run of 1
         assert rec.read_run_lengths() == [4, 1, 1]
 
     def test_empty_summary(self):
-        rec = TraceRecorder(BlockStore(8))
-        s = rec.summary()
+        s = AccessTrace().summary()
         assert s.reads == 0 and s.sequential_fraction == 0.0
 
     def test_structures_run_over_recorder(self, rng):
-        """Any structure runs unchanged over the recorder."""
-        store = BlockStore(16)
-        rec = TraceRecorder(store)
+        """A structure's queries are traced without touching its code."""
+        store, rec = traced_store(16)
         pts = make_points(rng, 300)
-        pst = ExternalPrioritySearchTree(rec, pts)
+        pst = ExternalPrioritySearchTree(store, pts)
         rec.clear()
         got = pst.query(100, 600, 500)
         want = sorted(p for p in pts if 100 <= p[0] <= 600 and p[1] >= 500)
