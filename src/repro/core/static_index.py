@@ -14,6 +14,11 @@ B-tree).  In exchange:
 - queries cost exactly the candidate blocks: ``<= alpha^2 t + alpha + 1``
   reads and **no search I/O at all** -- beating the PST's constant by the
   tree-descent factor;
+- the catalog is searched through a :class:`~repro.core.
+  threesided_scheme.CatalogIndex`: ``O(log^2 n + k log k)`` CPU time for
+  ``k`` candidates at any level above ``-inf``, and ``O(n log n)`` words
+  of memory.  It finds the blocks a catalog scan would, in the same
+  order, so the I/O cost is unchanged;
 - construction writes ``O(n)`` blocks;
 - the structure is read-only (rebuild to change it), which is what
   "static" means here.
@@ -32,7 +37,11 @@ from repro.geometry import (
     Orientation,
     Point,
 )
-from repro.core.threesided_scheme import CatalogEntry, ThreeSidedSweepIndex
+from repro.core.threesided_scheme import (
+    CatalogEntry,
+    CatalogIndex,
+    ThreeSidedSweepIndex,
+)
 from repro.io.hooks import prefetch_hint
 
 
@@ -65,6 +74,7 @@ class StaticThreeSidedIndex:
             bid = store.alloc()
             store.write(bid, self._sweep.block_points(entry.block))
             self._catalog.append((entry, bid))
+        self._directory = CatalogIndex([entry for entry, _bid in self._catalog])
 
     # ------------------------------------------------------------------
     @property
@@ -93,32 +103,31 @@ class StaticThreeSidedIndex:
     ) -> List[Point]:
         """3-sided query in the original frame; the open side must match
         this index's orientation.  Costs exactly the candidate blocks."""
-        q = self.orientation.query_to_canonical(
-            x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi
-        )
         # the catalog is in memory, so the full slab list is known up
         # front: announce it before reading so a readahead pool batches
-        candidates = [
-            bid for entry, bid in self._catalog
-            if entry.live_at(q.c) and entry.x_overlaps(q.a, q.b)
-        ]
+        candidates = self._candidates(
+            x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi
+        )
         if len(candidates) > 1:
             prefetch_hint(self._store, candidates)
+        # blocks hold original-frame points, and every orientation's
+        # canonical test is this closed rectangle in the original frame
         out = set()
         for bid in candidates:
             for p in self._store.read(bid).records:
-                cp = p  # blocks hold original-frame points
-                if q.contains(self.orientation.to_canonical(cp)):
-                    out.add(cp)
+                if x_lo <= p[0] <= x_hi and y_lo <= p[1] <= y_hi:
+                    out.add(p)
         return list(out)
 
     def candidate_blocks(self, **kwargs) -> int:
         """How many blocks the query would read (no I/O performed)."""
+        return len(self._candidates(**kwargs))
+
+    def _candidates(self, **kwargs) -> List[int]:
+        """Block ids a query reads, in catalog order."""
         q = self.orientation.query_to_canonical(**kwargs)
-        return sum(
-            1 for entry, _bid in self._catalog
-            if entry.live_at(q.c) and entry.x_overlaps(q.a, q.b)
-        )
+        catalog = self._catalog
+        return [catalog[i][1] for i in self._directory.lookup(q.a, q.b, q.c)]
 
     def points(self) -> List[Point]:
         """The indexed point set.
@@ -185,6 +194,7 @@ class StaticThreeSidedIndex:
         obj._catalog = [
             (CatalogEntry(*entry), bid) for entry, bid in meta["catalog"]
         ]
+        obj._directory = CatalogIndex([entry for entry, _bid in obj._catalog])
         return obj
 
     def destroy(self) -> None:
@@ -192,6 +202,7 @@ class StaticThreeSidedIndex:
         for _entry, bid in self._catalog:
             self._store.free(bid)
         self._catalog = []
+        self._directory = CatalogIndex([])
 
     def check_invariants(self) -> None:
         """Validate structural guarantees; raises AssertionError on breach."""

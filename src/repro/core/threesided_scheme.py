@@ -26,8 +26,9 @@ from which queries can be answered without any other metadata.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry import (
     INF,
@@ -73,6 +74,91 @@ class CatalogEntry:
     def x_overlaps(self, a: float, b: float) -> bool:
         """True iff the block's x-range meets ``[a, b]``."""
         return self.x_lo <= b and self.x_hi >= a
+
+
+def _tiling(lo: int, hi: int):
+    """The bottom-up segment-tree nodes whose leaves tile ``[lo, hi)``."""
+    while lo < hi:
+        if lo & 1:
+            yield lo
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            yield hi
+        lo >>= 1
+        hi >>= 1
+
+
+class CatalogIndex:
+    """In-memory search structure over a catalog (the RAM directory).
+
+    A segment tree over the sweep-level breakpoints, the distinct
+    ``y_from``/``y_to`` values ``v_0 < v_1 < ...``: leaf ``i`` stands
+    for the query levels ``(v_{i-1}, v_i]``, and each entry is stored at
+    the O(log n) nodes that cover the leaves of its live interval
+    ``(y_from, y_to]``.  The entries live at ``c`` are then exactly those
+    on the path from ``c``'s leaf to the root.  Every leaf is one moment
+    of the sweep, and Theorem 4's linear order makes the blocks live at
+    one moment x-disjoint (touching at most at a shared x); so a node's
+    entries, sorted by ``(x_lo, x_hi)``, have both ends monotone, and two
+    bisects find the run that meets ``[a, b]``.
+
+    The level ``c = -inf`` is :func:`block_live_at`'s report-all
+    convention, not a sweep moment; it filters the ``y_from = -inf``
+    entries directly.
+
+    :meth:`lookup` takes ``O(log^2 n + k log k)`` time for ``k`` hits and
+    the tree ``O(n log n)`` words.  It answers in catalog order, the
+    order of a linear scan, because ``prefetch_hint`` order drives
+    readahead.
+    """
+
+    __slots__ = ("_levels", "_leaves", "_nodes", "_floor")
+
+    def __init__(self, catalog: Sequence[CatalogEntry]):
+        levels = sorted({v for e in catalog for v in (e.y_from, e.y_to)})
+        rank = {v: i for i, v in enumerate(levels)}
+        leaves = len(levels) + 1  # the last leaf, (v_max, inf], is empty
+        nodes: Dict[int, Tuple[List[float], List[float], List[int]]] = {}
+        order = sorted(
+            range(len(catalog)), key=lambda i: (catalog[i].x_lo, catalog[i].x_hi)
+        )
+        for pos in order:
+            e = catalog[pos]
+            # live leaves rank(y_from)+1 .. rank(y_to), as tree nodes
+            for node in _tiling(rank[e.y_from] + 1 + leaves, rank[e.y_to] + 1 + leaves):
+                x_los, x_his, rows = nodes.setdefault(node, ([], [], []))
+                x_los.append(e.x_lo)
+                x_his.append(e.x_hi)
+                rows.append(pos)
+        self._levels = levels
+        self._leaves = leaves
+        self._nodes = nodes
+        self._floor = [
+            (pos, e.x_lo, e.x_hi) for pos, e in enumerate(catalog)
+            if e.y_from == NEG_INF
+        ]
+
+    def lookup(self, a: float, b: float, c: float) -> List[int]:
+        """Catalog positions of the entries live at ``c`` whose x-range
+        meets ``[a, b]``, in catalog order."""
+        if c != c or a != a or b != b:
+            return []  # a NaN bound meets nothing, as in a scan
+        if c == NEG_INF:
+            return [p for p, x_lo, x_hi in self._floor if x_lo <= b and x_hi >= a]
+        hits: List[int] = []
+        nodes = self._nodes
+        node = bisect_left(self._levels, c) + self._leaves
+        while node:
+            row = nodes.get(node)
+            if row is not None:
+                i = bisect_left(row[1], a)
+                j = bisect_right(row[0], b)
+                if i < j:
+                    hits += row[2][i:j]
+            node >>= 1
+        hits.sort()
+        return hits
 
 
 class _Active:
@@ -129,6 +215,7 @@ class ThreeSidedSweepIndex:
         self.blocks: List[List[int]] = []
         self.catalog: List[CatalogEntry] = []
         self._sweep_points: List[Point] = []
+        self._directory: Optional[CatalogIndex] = None
         self._build(canonical)
 
     # ------------------------------------------------------------------
@@ -335,10 +422,12 @@ class ThreeSidedSweepIndex:
     # ------------------------------------------------------------------
     def candidate_blocks(self, query: ThreeSidedQuery) -> List[int]:
         """Indices of blocks the scheme reads for ``query`` (canonical frame)."""
+        if self._directory is None:  # built on first use
+            self._directory = CatalogIndex(self.catalog)
+        catalog = self.catalog
         return [
-            e.block
-            for e in self.catalog
-            if e.live_at(query.c) and e.x_overlaps(query.a, query.b)
+            catalog[i].block
+            for i in self._directory.lookup(query.a, query.b, query.c)
         ]
 
     def query(self, query: ThreeSidedQuery) -> Tuple[List[Point], List[int]]:

@@ -6,7 +6,8 @@ bus level but its payload is garbage.  :class:`ChecksummedStore` frames
 every block with a CRC32 computed over a canonical serialization of its
 records at write time and verifies it on every read; a mismatch raises
 the typed :class:`CorruptBlockError` instead of handing rotten data to
-a structure.
+a structure.  The serialization is :func:`record_crc`'s: ``marshal``
+format 2, with pickle only for records marshal cannot encode.
 
 The CRC side table is in-memory (one int per allocated block, the same
 O(n/B) words a real system keeps in its block headers or a checksum
@@ -33,6 +34,7 @@ metrics registry.
 
 from __future__ import annotations
 
+import marshal
 import pickle
 import zlib
 from typing import Any, Dict, Iterable, Optional
@@ -63,11 +65,26 @@ class CorruptBlockError(StorageError):
 def record_crc(records: Iterable[Any]) -> int:
     """CRC32 over a canonical serialization of a record list.
 
-    Pickle of the tuples/floats/strings the structures store is
+    The serialization is ``marshal`` format 2, which covers the tuples,
+    floats, ints and strings the structures store.  Format 2 writes no
+    back-references (those came in format 3), so the bytes, and hence
+    the CRC, depend on the records' values alone, never on which
+    objects are shared or interned: a replica rebuild or a copied
+    pre-image hashes like the original.  Pickle memoizes shared objects
+    and so would not.  A block may still hold any Python object, so
+    records marshal rejects fall back to pickle.  Either encoding is
     deterministic within a process, which is all the simulated disk
     needs; a real implementation would hash the block's bytes.
     """
-    return zlib.crc32(pickle.dumps(list(records), protocol=4))
+    data = list(records)
+    try:
+        blob = marshal.dumps(data, 2)
+    except ValueError:
+        blob = pickle.dumps(data, protocol=4)
+    return zlib.crc32(blob)
+
+
+_EMPTY_CRC = record_crc([])
 
 
 class ChecksummedStore(StoreLayer):
@@ -85,7 +102,7 @@ class ChecksummedStore(StoreLayer):
     def alloc(self) -> int:
         """Allocate; a fresh block is checksummed as empty."""
         bid = self._store.alloc()
-        self._crcs[bid] = record_crc([])
+        self._crcs[bid] = _EMPTY_CRC
         return bid
 
     def read(self, bid: int) -> Block:

@@ -37,6 +37,13 @@ CHAOS_RATES = {
 }
 
 
+class OpaqueRecord:
+    """A record type marshal cannot encode (pickle can)."""
+
+    def __init__(self, value):
+        self.value = value
+
+
 def make_shard(pts, factor=2, seed=None, rates=None, **kw):
     schedules = None
     if seed is not None:
@@ -102,6 +109,19 @@ class TestChecksummedStore:
         assert cs.crc_of(0) is None
         cs.read(0)
         assert cs.crc_of(0) == record_crc([5])
+
+    def test_crc_depends_on_value_not_identity(self):
+        t = (1.5, 2.5)
+        assert record_crc([t, t]) == record_crc([t, (t[0], t[1])])
+        s = "label"
+        assert record_crc([s, s]) == record_crc([s, "".join(["lab", "el"])])
+        assert record_crc([t]) != record_crc([(1.5, 2.0)])
+
+    def test_crc_falls_back_for_unmarshallable_records(self):
+        rec = OpaqueRecord(7)
+        assert record_crc([rec, (1.0, 2.0)]) == record_crc([rec, (1.0, 2.0)])
+        assert record_crc([OpaqueRecord(7)]) == record_crc([OpaqueRecord(7)])
+        assert record_crc([OpaqueRecord(7)]) != record_crc([OpaqueRecord(8)])
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,46 @@
 """Tests for the static variants (Section 5's practical recommendation)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.io import BlockStore
+from repro.geometry import NEG_INF, Orientation, ThreeSidedQuery
+from repro.io import AccessTrace, BlockStore
 from repro.io.stats import Meter
 from repro.core.static_index import StaticFourSidedIndex, StaticThreeSidedIndex
 from repro.core.external_pst import ExternalPrioritySearchTree
+from repro.core.threesided_scheme import CatalogEntry, ThreeSidedSweepIndex
 from tests.conftest import brute_3sided, brute_4sided, make_points
+
+
+def scan_candidates(idx, a, b, c):
+    """Reference: the linear catalog scan, block ids in catalog order."""
+    out = []
+    for entry, bid in idx.snapshot_meta()["catalog"]:
+        e = CatalogEntry(*entry)
+        if e.live_at(c) and e.x_overlaps(a, b):
+            out.append(bid)
+    return out
+
+
+def traced_query(store, idx, **kwargs):
+    """``idx.query(**kwargs)`` plus the block ids it read, in order."""
+    trace = AccessTrace()
+    store.add_observer(trace)
+    try:
+        got = idx.query(**kwargs)
+    finally:
+        store.remove_observer(trace)
+    return got, [bid for op, bid in trace.trace if op == "read"]
+
+
+def original_bounds(side, a, b, c):
+    """Original-frame bounds of the canonical query ``(a, b, c)``."""
+    return {
+        "up": dict(x_lo=a, x_hi=b, y_lo=c),
+        "down": dict(x_lo=a, x_hi=b, y_hi=-c),
+        "right": dict(y_lo=a, y_hi=b, x_lo=c),
+        "left": dict(y_lo=a, y_hi=b, x_hi=-c),
+    }[side]
 
 
 class TestStaticThreeSided:
@@ -36,7 +70,7 @@ class TestStaticThreeSided:
         assert sorted(got) == sorted(p for p in pts if pred(p))
 
     def test_query_io_is_candidates_only(self, rng):
-        """No search I/O: reads == candidate blocks exactly."""
+        """No search I/O: the reads are the scanned candidates, in order."""
         B = 16
         store = BlockStore(B)
         pts = make_points(rng, 600)
@@ -45,10 +79,11 @@ class TestStaticThreeSided:
             a = rng.uniform(0, 1000)
             b = a + rng.uniform(0, 300)
             c = rng.uniform(0, 1000)
-            expected = idx.candidate_blocks(x_lo=a, x_hi=b, y_lo=c)
+            expected = scan_candidates(idx, a, b, c)
             with Meter(store) as m:
-                idx.query(x_lo=a, x_hi=b, y_lo=c)
-            assert m.delta.reads == expected
+                _got, reads = traced_query(store, idx, x_lo=a, x_hi=b, y_lo=c)
+            assert reads == expected
+            assert idx.candidate_blocks(x_lo=a, x_hi=b, y_lo=c) == len(expected)
             assert m.delta.writes == 0
 
     def test_query_io_beats_pst_constant(self, rng):
@@ -84,6 +119,85 @@ class TestStaticThreeSided:
         idx = StaticThreeSidedIndex(store, make_points(rng, 100))
         idx.destroy()
         assert store.blocks_in_use == 0
+
+
+# heavy duplicate x (1-5 distinct values, so simultaneously live blocks
+# touch at a shared x) or a wider spread; an occasional y = -inf point
+# makes the report-all level c = -inf meet coalesced blocks too
+_x_spans = st.sampled_from([0, 1, 2, 3, 4, 40])
+_ys = st.integers(0, 40).map(float) | st.just(NEG_INF)
+
+
+@st.composite
+def _point_sets(draw):
+    x_span = draw(_x_spans)
+    xs = st.integers(0, x_span).map(float)
+    return sorted(draw(st.sets(st.tuples(xs, _ys), max_size=60)))
+
+
+class TestCatalogDirectory:
+    """The in-memory directory against the linear catalog scan."""
+
+    def _check(self, store, idx, sweep, side, pts, a, b, c):
+        expected = scan_candidates(idx, a, b, c)
+        got, reads = traced_query(store, idx, **original_bounds(side, a, b, c))
+        assert reads == expected  # same blocks, same order
+        o = Orientation(side)
+        canonical = [o.to_canonical(p) for p in pts]
+        assert sorted(got) == sorted(
+            o.from_canonical(p) for p in brute_3sided(canonical, a, b, c)
+        )
+        q = ThreeSidedQuery(a, b, c)
+        assert sweep.candidate_blocks(q) == [
+            e.block for e in sweep.catalog
+            if e.live_at(c) and e.x_overlaps(a, b)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=_point_sets(), side=st.sampled_from(["up", "down", "left", "right"]),
+           alpha=st.integers(2, 4), B=st.sampled_from([2, 4, 8]),
+           data=st.data())
+    def test_candidates_match_scan(self, pts, side, alpha, B, data):
+        store = BlockStore(B)
+        idx = StaticThreeSidedIndex(store, pts, alpha=alpha, orientation=side)
+        sweep = ThreeSidedSweepIndex(pts, B, alpha, orientation=side)
+        attached = StaticThreeSidedIndex.attach(store, idx.snapshot_meta())
+        levels = sorted(
+            {v for entry, _bid in idx.snapshot_meta()["catalog"]
+             for v in entry[2:4]} | {NEG_INF}
+        )
+        coord = st.integers(-1, 42).map(float)
+        for _ in range(6):
+            a = data.draw(coord)
+            b = a + data.draw(st.integers(0, 8))  # 0 gives a == b
+            c = data.draw(st.sampled_from(levels) | coord)
+            for handle in (idx, attached):
+                self._check(store, handle, sweep, side, pts, a, b, c)
+
+    @pytest.mark.parametrize("pts", [[], [(3.0, 4.0)]])
+    @pytest.mark.parametrize("side", ["up", "down", "left", "right"])
+    def test_empty_and_one_point(self, pts, side):
+        store = BlockStore(2)
+        idx = StaticThreeSidedIndex(store, pts, orientation=side)
+        sweep = ThreeSidedSweepIndex(pts, 2, orientation=side)
+        for a, b, c in [(0.0, 9.0, NEG_INF), (3.0, 3.0, 3.0), (4.0, 4.0, 4.0),
+                        (0.0, 9.0, -4.0), (5.0, 9.0, 0.0)]:
+            self._check(store, idx, sweep, side, pts, a, b, c)
+
+    def test_nan_bound_meets_nothing(self, rng):
+        store = BlockStore(8)
+        pts = make_points(rng, 50)
+        idx = StaticThreeSidedIndex(store, pts)
+        nan = float("nan")
+        for a, b, c in [(nan, 1000.0, 0.0), (0.0, nan, 0.0), (0.0, 1000.0, nan)]:
+            assert scan_candidates(idx, a, b, c) == []
+            assert traced_query(store, idx, x_lo=a, x_hi=b, y_lo=c) == ([], [])
+
+    def test_destroy_clears_directory(self, rng):
+        store = BlockStore(8)
+        idx = StaticThreeSidedIndex(store, make_points(rng, 50))
+        idx.destroy()
+        assert idx.candidate_blocks(x_lo=0.0, x_hi=1000.0, y_lo=0.0) == 0
 
 
 class TestStaticFourSided:
