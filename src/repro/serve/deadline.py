@@ -2,22 +2,23 @@
 
 A :class:`Deadline` is an absolute point on the monotonic clock that
 rides along with a batch: the engine checks it at admission, the
-executor checks it when taking shard locks and between operations, and
-the replica layer checks it before falling over to another copy.  When
-it expires, every layer stops *cooperatively* and reports what it did
-finish -- the engine returns a :class:`~repro.serve.executor.
+executor bounds shard lock waits by it and checks it between the
+operations of a read-only shard queue, and the replica layer checks it
+before falling over to another copy.  A shard queue with a mutation
+checks it only while waiting for the writer lock, then runs to the end,
+so its slab is all-or-nothing.  When it expires, every layer stops
+*cooperatively* -- the engine returns a :class:`~repro.serve.executor.
 PartialResult` marked with the x-slabs that were served rather than
 hanging on the slow or dead remainder.
 
-:class:`DeadlineExpired` is the internal control-flow signal a shard
-task raises when its budget runs out mid-queue; it never escapes the
-engine facade.
+:class:`DeadlineExpired` is the internal control-flow signal the
+replica layer raises when the budget runs out mid-read; the shard task
+catches it, so it never escapes the engine facade.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 
 class DeadlineExpired(RuntimeError):
@@ -55,16 +56,6 @@ class Deadline:
     def remaining(self) -> float:
         """Seconds left (never negative)."""
         return max(0.0, self._at - time.monotonic())
-
-    def check(self) -> None:
-        """Raise :class:`DeadlineExpired` if the budget ran out."""
-        if self.expired:
-            raise DeadlineExpired(f"deadline passed {self!r}")
-
-    @staticmethod
-    def remaining_of(deadline: "Optional[Deadline]") -> Optional[float]:
-        """``deadline.remaining()`` or None -- lock/wait timeout plumbing."""
-        return None if deadline is None else deadline.remaining()
 
     def __repr__(self) -> str:
         left = self._at - time.monotonic()

@@ -39,7 +39,7 @@ from repro.resilience.faults import FaultSchedule
 from repro.resilience.retry import RetryPolicy
 from repro.serve.admission import AdmissionController, EngineOverloaded
 from repro.serve.deadline import Deadline
-from repro.serve.executor import BatchExecutor, BatchResult, Op, PartialResult
+from repro.serve.executor import BatchExecutor, BatchResult, Op
 from repro.serve.replication import ReplicaSpec
 from repro.serve.scrub import Scrubber
 from repro.serve.shards import Shard, SlabRouter
@@ -60,39 +60,39 @@ class EngineSnapshot:
 
     def __init__(self, router: SlabRouter, snaps: List[ShardSnapshot]):
         self._router = router
-        self._snaps = snaps
+        self._snaps = {
+            sh.shard_id: snap for sh, snap in zip(router.shards, snaps)
+        }
 
     def query3(self, a: float, b: float, c: float) -> List[Point]:
         """3-sided query against the frozen cut."""
         merged: List[Point] = []
-        for sh, snap in zip(self._router.shards, self._snaps):
-            if sh.x_lo <= b and a < sh.x_hi:
-                merged.extend(snap.query3(a, b, c))
+        for sh in self._router.shards_for_range(a, b):
+            merged.extend(self._snaps[sh.shard_id].query3(a, b, c))
         return sorted(merged)
 
     def query4(self, a: float, b: float, c: float, d: float) -> List[Point]:
         """4-sided query against the frozen cut."""
         merged: List[Point] = []
-        for sh, snap in zip(self._router.shards, self._snaps):
-            if sh.x_lo <= b and a < sh.x_hi:
-                merged.extend(snap.query4(a, b, c, d))
+        for sh in self._router.shards_for_range(a, b):
+            merged.extend(self._snaps[sh.shard_id].query4(a, b, c, d))
         return sorted(merged)
 
     @property
     def count(self) -> int:
         """Live records in the frozen cut."""
-        return sum(snap.count for snap in self._snaps)
+        return sum(snap.count for snap in self._snaps.values())
 
     def all_points(self) -> List[Point]:
         """Every point in the frozen cut, sorted."""
         out: List[Point] = []
-        for snap in self._snaps:
+        for snap in self._snaps.values():
             out.extend(snap.all_points())
         return sorted(out)
 
     def close(self) -> None:
         """Release every shard epoch (idempotent)."""
-        for snap in self._snaps:
+        for snap in self._snaps.values():
             snap.close()
 
     def __enter__(self) -> "EngineSnapshot":
@@ -217,38 +217,23 @@ class ServingEngine:
         mid-execution) comes back as a
         :class:`~repro.serve.executor.PartialResult` naming the served
         and missing x-slabs -- it never hangs and never raises for
-        lateness.
+        lateness.  A missing slab contributes nothing to any result, and
+        a slab with a queued mutation is all-or-nothing.
         """
-        if deadline is None:
-            if not self.admission.acquire():
+        bound = self.admission.max_wait
+        if deadline is not None:
+            left = deadline.remaining()
+            bound = left if bound is None else min(left, bound)
+        if not self.admission.acquire(max_wait=bound):
+            if deadline is None:
                 raise EngineOverloaded(
                     f"batch of {len(ops)} ops shed "
                     f"(policy={self.admission.policy!r})"
                 )
-            try:
-                return self.executor.execute(ops)
-            finally:
-                self.admission.release()
-        bound = deadline.remaining()
-        if self.admission.max_wait is not None:
-            bound = min(bound, self.admission.max_wait)
-        if not self.admission.acquire(max_wait=bound):
             # shed while waiting: nothing was served, report it as a
             # degraded (empty) result rather than an exception
-            queues = self.executor.route(ops)
-            kind_counts: Dict[str, int] = {}
-            for kind, _arg in ops:
-                kind_counts[kind] = kind_counts.get(kind, 0) + 1
-            return PartialResult(
-                results=[None] * len(ops),
-                wall_s=0.0,
-                n_ops=len(ops),
-                shards_touched=0,
-                counts=kind_counts,
-                complete=False,
-                served_slabs=[],
-                missing_slabs=sorted(queues),
-                deadline_expired=deadline.expired,
+            return self.executor.unserved(
+                ops, self.executor.route(ops), expired=deadline.expired
             )
         try:
             return self.executor.execute(ops, deadline=deadline)

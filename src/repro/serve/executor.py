@@ -19,6 +19,13 @@ same vocabulary :mod:`repro.workloads.traces` generates).  Execution:
    since slabs are disjoint, the merged answer is exactly what a
    single structure would return, independent of thread scheduling.
 
+With a :class:`~repro.serve.deadline.Deadline` the same path bounds
+every lock wait by the remaining budget; a read-only shard queue also
+stops between ops once it expires.  A queue with a mutation runs to
+the end once it holds the writer lock, so a slab is either served with
+everything applied or missing with nothing applied.  Only finished
+shards are merged: a missing slab contributes nothing to any result.
+
 Determinism argument: within one shard the queue preserves batch
 order, and across shards the ops in one batch touching different
 shards commute (a point op lives in exactly one slab; a query's
@@ -31,9 +38,10 @@ separate batches.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import counter
 from repro.serve.deadline import Deadline, DeadlineExpired
@@ -82,10 +90,12 @@ class PartialResult(BatchResult):
     True when every routed shard finished its queue in budget -- then
     the payload is identical to a plain :class:`BatchResult`.  When the
     deadline expired first, ``served_slabs`` / ``missing_slabs`` name
-    the shard ids (x-slabs) that did / did not finish: query results
-    contain only the contributions of served slabs, and mutations
-    queued on a missing slab were **not** applied (their ``results``
-    entries are None, i.e. unacknowledged).
+    the shard ids (x-slabs) that did / did not finish.  A missing slab
+    contributes nothing to any result: query results contain only the
+    contributions of served slabs, and mutations queued on a missing
+    slab were **not** applied (their ``results`` entries are None, i.e.
+    unacknowledged).  A slab with a queued mutation is all-or-nothing:
+    once its shard task holds the writer lock it runs the whole queue.
     """
 
     complete: bool = True
@@ -142,68 +152,49 @@ class BatchExecutor:
 
     @staticmethod
     def _run_queue(
-        shard: Shard, queue: List[Tuple[int, str, tuple, bool]]
-    ) -> Dict[int, object]:
-        has_write = any(kind in _WRITES for _idx, kind, _a, _s in queue)
-        lock_ctx = (
-            shard.lock.write_locked() if has_write else shard.lock.read_locked()
-        )
-        partial: Dict[int, object] = {}
-        with lock_ctx:
-            for idx, kind, arg, spanned in queue:
-                if kind == "ins":
-                    shard.insert(arg)
-                    partial[idx] = None
-                elif kind == "del":
-                    partial[idx] = shard.delete(arg)
-                elif kind == "q3":
-                    partial[idx] = shard.query3(*arg)
-                else:
-                    partial[idx] = shard.query4(*arg, spanned=spanned)
-        return partial
-
-    @staticmethod
-    def _run_queue_deadline(
         shard: Shard,
         queue: List[Tuple[int, str, tuple, bool]],
-        deadline: Deadline,
+        deadline: Optional[Deadline],
     ) -> Tuple[Dict[int, object], bool]:
-        """Deadline-aware shard task: ``(partial, finished)``.
+        """Shard task: ``(partial, finished)``.
 
-        The lock acquisition is bounded by the remaining budget and the
-        deadline is checked between ops; on expiry the task stops where
-        it is and reports unfinished instead of hanging.  Reads also
-        thread the deadline into the replica layer so a fallback-chain
-        walk cannot overrun it.
+        The lock wait is bounded by the remaining budget (``deadline=None``
+        waits without bound).  A queue that contains a mutation checks the
+        deadline only there: once it holds the writer lock it runs to the
+        end, so its slab is either missing with nothing applied or served
+        with everything applied.  A read-only queue also checks between
+        ops, and threads the deadline into the replica layer so a
+        fallback-chain walk cannot overrun it; on expiry it stops where it
+        is and reports unfinished instead of hanging.
         """
-        has_write = any(kind in _WRITES for _idx, kind, _a, _s in queue)
-        if has_write:
-            acquired = shard.lock.acquire_write(timeout=deadline.remaining())
+        timeout = None if deadline is None else deadline.remaining()
+        if any(kind in _WRITES for _idx, kind, _a, _s in queue):
+            acquired = shard.lock.acquire_write(timeout=timeout)
             release = shard.lock.release_write
+            deadline = None
         else:
-            acquired = shard.lock.acquire_read(timeout=deadline.remaining())
+            acquired = shard.lock.acquire_read(timeout=timeout)
             release = shard.lock.release_read
         if not acquired:
             return {}, False
         partial: Dict[int, object] = {}
         try:
             for idx, kind, arg, spanned in queue:
-                if deadline.expired:
+                if deadline is not None and deadline.expired:
                     return partial, False
-                try:
-                    if kind == "ins":
-                        shard.insert(arg)
-                        partial[idx] = None
-                    elif kind == "del":
-                        partial[idx] = shard.delete(arg)
-                    elif kind == "q3":
-                        partial[idx] = shard.query3(*arg, deadline=deadline)
-                    else:
-                        partial[idx] = shard.query4(
-                            *arg, spanned=spanned, deadline=deadline
-                        )
-                except DeadlineExpired:
-                    return partial, False
+                if kind == "ins":
+                    shard.insert(arg)
+                    partial[idx] = None
+                elif kind == "del":
+                    partial[idx] = shard.delete(arg)
+                elif kind == "q3":
+                    partial[idx] = shard.query3(*arg, deadline=deadline)
+                else:
+                    partial[idx] = shard.query4(
+                        *arg, spanned=spanned, deadline=deadline
+                    )
+        except DeadlineExpired:
+            return partial, False
         finally:
             release()
         return partial, True
@@ -214,110 +205,31 @@ class BatchExecutor:
     ) -> BatchResult:
         """Run one batch concurrently; results merge deterministically.
 
-        With a ``deadline`` the batch never hangs: shards that cannot
-        finish in budget are abandoned and the answer comes back as a
-        :class:`PartialResult` naming the served and missing x-slabs.
-        Without one the behaviour (and every I/O count) is unchanged.
+        Without a ``deadline`` every shard runs its queue to the end and
+        the answer is a :class:`BatchResult`.  With one the batch never
+        hangs: shards that cannot finish in budget are abandoned and the
+        answer comes back as a :class:`PartialResult` naming the served
+        and missing x-slabs.  A missing slab contributes nothing to any
+        result, and a slab with a queued mutation is all-or-nothing.
         """
-        if deadline is not None:
-            return self._execute_deadline(ops, deadline)
         t0 = time.perf_counter()
         queues = self.route(ops)
-        shards_by_id = {sh.shard_id: sh for sh in self._router}
-        futures = []
-        for shard_id in sorted(queues):
-            futures.append(
-                (
-                    shard_id,
-                    self._pool.submit(
-                        self._run_queue, shards_by_id[shard_id], queues[shard_id]
-                    ),
-                )
-            )
-        partials: List[Tuple[int, Dict[int, object]]] = []
-        error: Optional[ShardTaskError] = None
-        for shard_id, fut in futures:
-            try:
-                partials.append((shard_id, fut.result()))
-            except BaseException as exc:  # noqa: BLE001 - annotate and rethrow
-                if error is None:
-                    error = ShardTaskError(shard_id, exc)
-        if error is not None:
-            raise error
-
-        results: List[object] = [None] * len(ops)
-        query_parts: Dict[int, List[list]] = {}
-        for shard_id, partial in sorted(partials):
-            for idx, value in partial.items():
-                kind = ops[idx][0]
-                if kind in ("q3", "q4"):
-                    query_parts.setdefault(idx, []).append(value)
-                else:
-                    results[idx] = value
-        for idx, parts in query_parts.items():
-            merged: List[tuple] = []
-            for part in parts:
-                merged.extend(part)
-            results[idx] = sorted(merged)
-
-        wall = time.perf_counter() - t0
-        stats: Dict[str, int] = {}
-        for kind, _arg in ops:
-            stats[kind] = stats.get(kind, 0) + 1
+        counts = dict(Counter(kind for kind, _arg in ops))
         counter("batches", layer="serve").inc()
-        for kind, n in stats.items():
+        for kind, n in counts.items():
             counter("batch_ops", layer="serve", kind=kind).inc(n)
-        return BatchResult(
-            results=results,
-            wall_s=wall,
-            n_ops=len(ops),
-            shards_touched=len(queues),
-            counts=stats,
-        )
-
-    def _execute_deadline(
-        self, ops: Sequence[Op], deadline: Deadline
-    ) -> PartialResult:
-        """The deadline-bearing twin of :meth:`execute`."""
-        t0 = time.perf_counter()
-        queues = self.route(ops)
-        kind_counts: Dict[str, int] = {}
-        for kind, _arg in ops:
-            kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        counter("batches", layer="serve").inc()
-        for kind, n in kind_counts.items():
-            counter("batch_ops", layer="serve", kind=kind).inc(n)
-
-        if deadline.expired:
-            # budget was gone before fan-out: nothing is served
+        if deadline is not None and deadline.expired:
             counter("deadline_expired", layer="serve").inc()
-            return PartialResult(
-                results=[None] * len(ops),
-                wall_s=time.perf_counter() - t0,
-                n_ops=len(ops),
-                shards_touched=0,
-                counts=kind_counts,
-                complete=False,
-                served_slabs=[],
-                missing_slabs=sorted(queues),
-                deadline_expired=True,
+            return self.unserved(
+                ops, queues, expired=True, wall_s=time.perf_counter() - t0
             )
 
         shards_by_id = {sh.shard_id: sh for sh in self._router}
-        futures = []
-        for shard_id in sorted(queues):
-            futures.append(
-                (
-                    shard_id,
-                    self._pool.submit(
-                        self._run_queue_deadline,
-                        shards_by_id[shard_id],
-                        queues[shard_id],
-                        deadline,
-                    ),
-                )
-            )
-        partials: List[Tuple[int, Dict[int, object]]] = []
+        futures = [
+            (sid, self._pool.submit(self._run_queue, shards_by_id[sid], queue, deadline))
+            for sid, queue in sorted(queues.items())
+        ]
+        partials: List[Dict[int, object]] = []
         served: List[int] = []
         missing: List[int] = []
         error: Optional[ShardTaskError] = None
@@ -328,38 +240,66 @@ class BatchExecutor:
                 if error is None:
                     error = ShardTaskError(shard_id, exc)
                 continue
-            partials.append((shard_id, partial))
-            (served if finished else missing).append(shard_id)
+            if finished:
+                partials.append(partial)
+                served.append(shard_id)
+            else:
+                missing.append(shard_id)
         if error is not None:
             raise error
 
         results: List[object] = [None] * len(ops)
-        query_parts: Dict[int, List[list]] = {}
-        for shard_id, partial in sorted(partials):
+        query_parts: Dict[int, List[tuple]] = {}
+        for partial in partials:
             for idx, value in partial.items():
-                kind = ops[idx][0]
-                if kind in ("q3", "q4"):
-                    query_parts.setdefault(idx, []).append(value)
-                else:
+                if ops[idx][0] in _WRITES:
                     results[idx] = value
-        for idx, parts in query_parts.items():
-            merged: List[tuple] = []
-            for part in parts:
-                merged.extend(part)
+                else:
+                    query_parts.setdefault(idx, []).extend(value)
+        for idx, merged in query_parts.items():
             results[idx] = sorted(merged)
 
-        if missing:
-            counter("deadline_expired", layer="serve").inc()
-        return PartialResult(
+        done = dict(
             results=results,
             wall_s=time.perf_counter() - t0,
             n_ops=len(ops),
             shards_touched=len(queues),
-            counts=kind_counts,
+            counts=counts,
+        )
+        if deadline is None:
+            return BatchResult(**done)
+        if missing:
+            counter("deadline_expired", layer="serve").inc()
+        return PartialResult(
+            **done,
             complete=not missing,
             served_slabs=served,
             missing_slabs=missing,
             deadline_expired=bool(missing),
+        )
+
+    @staticmethod
+    def unserved(
+        ops: Sequence[Op],
+        slabs: Iterable[int],
+        *,
+        expired: bool,
+        wall_s: float = 0.0,
+    ) -> PartialResult:
+        """The answer for a batch that ran on no shard: every result None
+        and every routed slab in ``slabs`` missing.  Covers a deadline
+        that expired before fan-out and a batch shed while it waited for
+        admission."""
+        return PartialResult(
+            results=[None] * len(ops),
+            wall_s=wall_s,
+            n_ops=len(ops),
+            shards_touched=0,
+            counts=dict(Counter(kind for kind, _arg in ops)),
+            complete=False,
+            served_slabs=[],
+            missing_slabs=sorted(slabs),
+            deadline_expired=expired,
         )
 
     def execute_serial(self, ops: Sequence[Op]) -> BatchResult:
@@ -402,16 +342,12 @@ class BatchExecutor:
                 results[idx] = sorted(merged)
             else:
                 raise ValueError(f"unknown op kind {kind!r}")
-        wall = time.perf_counter() - t0
-        stats: Dict[str, int] = {}
-        for kind, _arg in ops:
-            stats[kind] = stats.get(kind, 0) + 1
         return BatchResult(
             results=results,
-            wall_s=wall,
+            wall_s=time.perf_counter() - t0,
             n_ops=len(ops),
             shards_touched=len(touched),
-            counts=stats,
+            counts=dict(Counter(kind for kind, _arg in ops)),
         )
 
     def close(self) -> None:

@@ -19,6 +19,7 @@ from repro.io.blockstore import StorageError
 from repro.resilience import RetryPolicy
 from repro.serve import (
     AdmissionController,
+    Deadline,
     EngineOverloaded,
     ReadWriteLock,
     ReplicaSpec,
@@ -628,6 +629,12 @@ class TestThreadedStress:
 # ----------------------------------------------------------------------
 coord = st.integers(min_value=0, max_value=30).map(float)
 point = st.tuples(coord, coord)
+span = st.tuples(coord, coord).map(sorted)
+batch_op = st.one_of(
+    st.tuples(st.sampled_from(["ins", "del"]), point),
+    st.builds(lambda x, c: ("q3", (*x, c)), span, coord),
+    st.builds(lambda x, y: ("q4", (*x, *y)), span, span),
+)
 
 
 class ServingMachine(RuleBasedStateMachine):
@@ -681,6 +688,22 @@ class ServingMachine(RuleBasedStateMachine):
             c, d = d, c
         got = self.engine.execute([("q4", (a, b, c, d))]).results[0]
         assert got == brute_4sided(self.model, a, b, c, d)
+
+    @rule(batch=st.lists(batch_op, min_size=1, max_size=6))
+    def generous_deadline_batch(self, batch):
+        # per batch the executor equals the serial replay: ops on one
+        # point share a shard queue, which keeps batch order
+        out = self.engine.execute(batch, deadline=Deadline.after(60.0))
+        assert out.complete and out.missing_slabs == []
+        expected, self.model = oracle_results(batch, self.model)
+        assert out.results == expected
+
+    @rule(batch=st.lists(batch_op, min_size=1, max_size=6))
+    def expired_deadline_batch(self, batch):
+        out = self.engine.execute(batch, deadline=Deadline(0.0))
+        assert not out.complete and out.served_slabs == []
+        assert out.results == [None] * len(batch)
+        assert self.engine.all_points() == sorted(self.model)
 
     @rule()
     def open_snapshot(self):

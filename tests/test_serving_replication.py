@@ -7,6 +7,7 @@ zero lost acknowledged writes -- because every fault is either healed
 in place, rolled back, or failed over.
 """
 
+import itertools
 import random
 import threading
 
@@ -311,17 +312,26 @@ class TestDeadlines:
 
     def test_generous_deadline_matches_plain_result(self, rng):
         pts = make_points(rng, 150)
-        eng = ServingEngine(pts, n_shards=3, block_size=16, backend="log")
         ops = [("q4", (0, 1000, 0, 1000)), ("ins", (5.0, 5.0)),
-               ("q3", (0, 1000, 0))]
-        plain = eng.execute(ops)
-        eng2 = ServingEngine(pts, n_shards=3, block_size=16, backend="log")
-        timed = eng2.execute(ops, deadline=Deadline.after(60.0))
-        assert isinstance(timed, PartialResult) and timed.complete
-        assert timed.results == plain.results
-        assert timed.missing_slabs == []
-        eng.close()
-        eng2.close()
+               ("q3", (0, 1000, 0)), ("del", pts[0]), ("q4", (100, 900, 0, 500))]
+        pools = {"off": {}, "2q": dict(pool_capacity=8, pool_policy="2q")}
+        for backend, factor, pool in itertools.product(
+            ("pst", "log"), (1, 2), pools
+        ):
+            config = (backend, factor, pool)
+            kw = dict(n_shards=3, block_size=16, backend=backend,
+                      replication_factor=factor, **pools[pool])
+            with ServingEngine(pts, **kw) as e1, ServingEngine(pts, **kw) as e2, \
+                    ServingEngine(pts, **kw) as e3:
+                plain = e1.execute(ops)
+                timed = e2.execute(ops, deadline=Deadline.after(60.0))
+                serial = e3.execute_serial(ops)
+            assert isinstance(timed, PartialResult), config
+            assert timed.complete and not timed.deadline_expired, config
+            assert timed.served_slabs == [0, 1, 2], config
+            assert timed.missing_slabs == [], config
+            assert timed.results == plain.results, config
+            assert timed.results == serial.results, config
 
     def test_mutations_on_missing_slabs_unacked(self, rng):
         eng = ServingEngine(make_points(rng, 100), n_shards=2,
@@ -333,6 +343,46 @@ class TestDeadlines:
         assert (1.0, 1.0) not in eng.execute(
             [("q4", (0, 1000, 0, 1000))]
         ).results[0]
+        eng.close()
+
+    def test_mutating_slab_is_all_or_nothing(self, rng):
+        # io_latency makes each insert outlast a slice of the budget, so
+        # a per-op deadline check would stop the queue partway through
+        new = [(2000.0 + i, float(i)) for i in range(6)]
+        ops = [("ins", p) for p in new]
+        eng = ServingEngine(make_points(rng, 100), n_shards=1,
+                            backend="log", io_latency=0.01)
+        out = eng.execute(ops, deadline=Deadline.after(0.03))
+        present = set(new) & set(eng.all_points())
+        if out.complete:
+            assert out.served_slabs == [0] and present == set(new)
+        else:
+            assert out.missing_slabs == [0] and present == set()
+        # a writer holding the lock past the budget: missing, none applied
+        later = [(3000.0 + i, float(i)) for i in range(6)]
+        lock = eng.router.shards[0].lock
+        assert lock.acquire_write(timeout=1.0)
+        try:
+            out = eng.execute([("ins", p) for p in later],
+                              deadline=Deadline.after(0.03))
+        finally:
+            lock.release_write()
+        assert not out.complete and out.missing_slabs == [0]
+        assert out.results == [None] * len(later)
+        assert set(later) & set(eng.all_points()) == set()
+        eng.close()
+
+    def test_read_only_slab_expiring_mid_queue_is_missing(self, rng):
+        # each full-range probe reads blocks at 10 ms apiece, so twenty
+        # of them cannot fit a 30 ms budget: the queue stops partway
+        eng = ServingEngine(make_points(rng, 100), n_shards=1,
+                            backend="log", io_latency=0.01)
+        ops = [("q3", (0, 1000, 0))] * 20
+        out = eng.execute(ops, deadline=Deadline.after(0.03))
+        assert not out.complete and out.deadline_expired
+        assert out.served_slabs == [] and out.missing_slabs == [0]
+        # the ops that did run before expiry contribute nothing
+        assert out.results == [None] * len(ops)
         eng.close()
 
 
